@@ -120,10 +120,8 @@ class Flow:
     def on_prefs_change(self, listener: Callable[["Flow"], None]) -> None:
         """Register a callback fired after :meth:`restrict_to`.
 
-        The engine uses this to abort any in-progress transmission
-        batch for the flow: a preference change can alter scheduling
-        decisions, so fused quanta must fall back to per-packet events
-        at that instant.
+        Per-interface schedulers use this to revalidate which inner
+        queues serve the flow once its preference set changes.
         """
         self._prefs_listeners.append(listener)
 

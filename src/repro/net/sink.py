@@ -154,11 +154,8 @@ class StatsCollector:
     def _flush(self) -> None:
         """Ingest every pending raw record into the query indexes.
 
-        Per-key sample order is completion order even under batched
-        quanta (a batch always materializes before any cross-interface
-        service of the same flow); the flat log may interleave keys
-        slightly out of global time order in that case, which the
-        per-key indexes tolerate by construction.
+        Records arrive in completion order, which is global time order,
+        so every per-key index stays sorted by appending.
         """
         pending = self._pending
         if not pending:
@@ -219,9 +216,8 @@ class StatsCollector:
 
         Samples serialize as compact parallel records; the per-key
         indexes are derived data, rebuilt on restore by replaying the
-        log through the normal ingestion path (per-key time order is
-        guaranteed; the flat log may interleave keys under batching,
-        which ingestion tolerates).
+        log through the normal ingestion path (the log is in time
+        order, as recorded).
         """
         self._flush()
         return {

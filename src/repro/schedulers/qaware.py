@@ -177,12 +177,6 @@ class QAwareScheduler(MultiInterfaceScheduler):
         return None
 
     def _serve(self, flow: Flow, interface_id: str) -> Packet:
-        # A foreign fused window defers this flow's pulls; materialize
-        # it before reading the queue (no-op when batching is off).
-        if self.batched_flows:
-            owner = self.batched_flows.get(flow.flow_id)
-            if owner is not None and owner.interface_id != interface_id:
-                owner.abort_batch()
         packet = flow.pull()
         if not flow.backlogged:
             self._unassign(flow.flow_id)

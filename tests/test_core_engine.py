@@ -74,6 +74,26 @@ class TestCompletion:
         assert flow.completed_at == pytest.approx(3.0)
         assert "a" not in engine.flows
 
+    def test_packet_in_flight_at_retirement_is_credited(self, sim):
+        """A flow retires once its source is exhausted and its queue
+        is empty, while its last packet may still be on another link.
+        That packet's completion still counts for the flow: its byte
+        and packet totals and its deadline scoring."""
+        engine = build_engine(sim, rates=(12_000, 4_000))
+        flow = Flow("a", deadline_budget=0.1)
+        source = BulkSource(sim, flow, packet_size=1500, total_bytes=15_000)
+        engine.add_flow(flow, source=source)
+        engine.start()
+        sim.run()
+        assert flow.completed_at is not None
+        # The slow link (3 s per packet) still carries a packet when the
+        # fast one completes the flow's last queued packet.
+        assert sim.now > flow.completed_at
+        assert flow.bytes_sent == engine.stats.bytes_sent("a") == 15_000
+        assert flow.packets_sent == 10
+        assert engine.deadline_packets_total == 10
+        assert engine.deadline_misses_by_flow == {"a": 10}
+
     def test_completion_frees_capacity_for_peer(self, sim):
         engine = build_engine(sim)
         short = Flow("short")

@@ -61,13 +61,7 @@ def skewed_scenario(duration=12.0, seed=5):
     )
 
 
-def audited_run(
-    scenario,
-    scheduler_factory=MiDrrScheduler,
-    backend="heap",
-    batching=False,
-    **auditor_kwargs,
-):
+def audited_run(scenario, scheduler_factory=MiDrrScheduler, **auditor_kwargs):
     box = {}
 
     def attach(sim, engine):
@@ -75,13 +69,7 @@ def audited_run(
         auditor.start()
         box["auditor"] = auditor
 
-    result = run_scenario(
-        scenario,
-        scheduler_factory,
-        on_engine=attach,
-        queue_backend=backend,
-        batching=batching,
-    )
+    result = run_scenario(scenario, scheduler_factory, on_engine=attach)
     return result, box["auditor"]
 
 
@@ -229,21 +217,13 @@ class TestReadOnlyDeterminism:
         assert audited.stats_signature() == bare.stats_signature()
         assert audited_chaos.auditor.ticks > 0
 
-    def test_fairness_snapshot_deterministic_across_backends_and_batching(
-        self,
-    ):
+    def test_fairness_snapshot_deterministic_across_repeat_runs(self):
         scenario = steady_scenario()
-        snapshots = {}
-        for backend in ("heap", "calendar"):
-            for batching in (False, True):
-                result, auditor = audited_run(
-                    scenario, backend=backend, batching=batching
-                )
-                snapshots[(backend, batching)] = auditor.snapshot_state()
-        reference = snapshots[("heap", False)]
+        _, first = audited_run(scenario)
+        _, second = audited_run(scenario)
+        reference = first.snapshot_state()
         assert reference["audits_total"] > 0
-        for key, snapshot in snapshots.items():
-            assert snapshot == reference, f"{key} diverged from (heap, False)"
+        assert second.snapshot_state() == reference
 
 
 def auditor_extras(run):
